@@ -13,9 +13,13 @@ from repro.core import EngineConfig, MessageEnvelope, OptimisticMatcher, Receive
 N_MESSAGES = 256
 
 
-def drive(block_threads: int, bins: int, same_key: bool) -> OptimisticMatcher:
+def drive(
+    block_threads: int, bins: int, same_key: bool, **config: bool
+) -> OptimisticMatcher:
     engine = OptimisticMatcher(
-        EngineConfig(bins=bins, block_threads=block_threads, max_receives=2 * N_MESSAGES)
+        EngineConfig(
+            bins=bins, block_threads=block_threads, max_receives=2 * N_MESSAGES, **config
+        )
     )
     for i in range(N_MESSAGES):
         engine.post_receive(ReceiveRequest(source=0, tag=7 if same_key else i))
@@ -42,6 +46,16 @@ def test_engine_throughput_by_bins(benchmark, bins):
 def test_engine_throughput_conflict_heavy(benchmark):
     engine = benchmark(drive, 8, 512, True)
     assert engine.stats.expected_matches == N_MESSAGES
+
+
+def test_engine_throughput_slow_path(benchmark):
+    """32-wide same-key blocks with the fast path and early booking off:
+    every thread above 0 conflicts and waits on the settled prefix."""
+    engine = benchmark(
+        drive, 32, 512, True, enable_fast_path=False, early_booking_check=False
+    )
+    assert engine.stats.expected_matches == N_MESSAGES
+    assert engine.stats.slow_path == N_MESSAGES - N_MESSAGES // 32
 
 
 def test_serial_oracle_throughput(benchmark):

@@ -6,18 +6,23 @@ barrier can be implemented by letting a thread *i* wait on all threads
 *j* with *j* < *i*. We implement the partial barrier with a bitmap,
 where each thread sets its own bit whenever it enters the barrier."
 
-The same bitmap mechanism is reused a second time per block to publish
-conflict-detection status: thread *i* must know whether any lower
+The same bitmap mechanism is reused twice more per block: to publish
+conflict-detection status (thread *i* must know whether any lower
 thread detected a conflict before it may consume its candidate without
-resolution (paper §III-D.2: "if a thread *i* detects a conflict, then
-all other threads *j* > *i* need to enter the conflict resolution
-phase").
+resolution, §III-D.2: "if a thread *i* detects a conflict, then all
+other threads *j* > *i* need to enter the conflict resolution phase"),
+and to publish which threads have settled their message.
+
+"Every *j* < *i* has entered" is a prefix property and bits are only
+ever set within a block, so the barrier also keeps a *watermark*: the
+length of the run of set bits starting at bit 0. Thread *i* has passed
+exactly when ``prefix >= i``, an O(1) test instead of a mask over the
+bitmap — the host-side analogue of a NIC-resident barrier counter.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
+from repro.core.threadsim import PrefixWait
 from repro.util.bitmap import Bitmap
 
 __all__ = ["PartialBarrier"]
@@ -26,8 +31,12 @@ __all__ = ["PartialBarrier"]
 class PartialBarrier:
     """Bitmap-based partial barrier over ``width`` block threads."""
 
+    __slots__ = ("_bitmap", "prefix")
+
     def __init__(self, width: int) -> None:
         self._bitmap = Bitmap(width)
+        #: Count of trailing set bits: threads ``0 .. prefix-1`` entered.
+        self.prefix = 0
 
     @property
     def width(self) -> int:
@@ -35,7 +44,10 @@ class PartialBarrier:
 
     def enter(self, thread_id: int) -> None:
         """Thread ``thread_id`` publishes that it reached the barrier."""
-        self._bitmap.set(thread_id)
+        bitmap = self._bitmap
+        bitmap.set(thread_id)
+        bits = bitmap.value
+        self.prefix = (bits ^ (bits + 1)).bit_length() - 1
 
     def entered(self, thread_id: int) -> bool:
         return self._bitmap.test(thread_id)
@@ -45,11 +57,12 @@ class PartialBarrier:
 
         Thread 0 passes immediately — it has nobody to wait for.
         """
-        return self._bitmap.all_below(thread_id)
+        return self.prefix >= thread_id
 
-    def wait_condition(self, thread_id: int) -> Callable[[], bool]:
-        """A condition callable for the stepped executor."""
-        return lambda: self.passed(thread_id)
+    def wait_condition(self, thread_id: int) -> PrefixWait:
+        """The executor wait for :meth:`passed` (parked, woken on change)."""
+        return PrefixWait(self, thread_id)
 
     def reset(self) -> None:
         self._bitmap.reset()
+        self.prefix = 0

@@ -62,7 +62,7 @@ class _BlockContext:
         "barrier",
         "detect",
         "conflict_flags",
-        "resolved",
+        "settled",
         "candidates",
         "outcomes",
         "stats",
@@ -73,7 +73,9 @@ class _BlockContext:
         self.barrier = PartialBarrier(width)
         self.detect = PartialBarrier(width)
         self.conflict_flags = [False] * len(messages)
-        self.resolved = [False] * len(messages)
+        #: Thread ``tid`` enters once its message is matched or stored;
+        #: ``settled.wait_condition(tid)`` waits for every earlier one.
+        self.settled = PartialBarrier(width)
         self.candidates: list[ReceiveDescriptor | None] = [None] * len(messages)
         self.outcomes: list[MatchEvent | None] = [None] * len(messages)
         self.stats = BlockStats(messages=len(messages))
@@ -81,10 +83,6 @@ class _BlockContext:
     @property
     def active(self) -> int:
         return len(self.messages)
-
-    def resolved_below(self, thread_id: int) -> Callable[[], bool]:
-        """Wait condition: every thread below ``thread_id`` resolved."""
-        return lambda: all(self.resolved[j] for j in range(thread_id))
 
 
 class OptimisticMatcher:
@@ -371,9 +369,9 @@ class OptimisticMatcher:
             else:
                 # Unexpected insertion must follow arrival order, so
                 # wait for earlier messages to settle first.
-                yield ctx.resolved_below(tid)
+                yield ctx.settled.wait_condition(tid)
                 self._store_unexpected(ctx, tid, msg)
-            ctx.resolved[tid] = True
+            ctx.settled.enter(tid)
             return
 
         # --- Fast path (§III-D.3a) ---
@@ -382,12 +380,12 @@ class OptimisticMatcher:
             if target is not None:
                 self._consume(ctx, tid, target, ResolutionPath.FAST)
                 ctx.stats.fast_path += 1
-                ctx.resolved[tid] = True
+                ctx.settled.enter(tid)
                 return
 
         # --- Slow path (§III-D.3b) ---
         ctx.stats.slow_path += 1
-        yield ctx.resolved_below(tid)
+        yield ctx.settled.wait_condition(tid)
         if candidate is not None and candidate.is_live():
             # Lower threads settled without taking it; since they only
             # ever consume receives, it is still the oldest live match.
@@ -402,7 +400,7 @@ class OptimisticMatcher:
                 self._consume(ctx, tid, rematch, ResolutionPath.SLOW)
             else:
                 self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.settled.enter(tid)
 
     def _overtaking_thread(
         self, ctx: _BlockContext, tid: int
@@ -436,7 +434,7 @@ class OptimisticMatcher:
                 self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
                 ctx.stats.optimistic_hits += 1
                 break
-        ctx.resolved[tid] = True
+        ctx.settled.enter(tid)
 
     # ------------------------------------------------------------------
     # Consumption, unexpected storage, block epilogue

@@ -61,11 +61,11 @@ class NoBookingEngine(OptimisticMatcher):
                 self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
                 ctx.stats.optimistic_hits += 1
             else:
-                yield ctx.resolved_below(tid)
+                yield ctx.settled.wait_condition(tid)
                 self._store_unexpected(ctx, tid, msg)
-            ctx.resolved[tid] = True
+            ctx.settled.enter(tid)
             return
-        yield ctx.resolved_below(tid)
+        yield ctx.settled.wait_condition(tid)
         if candidate is not None and candidate.is_live():
             self._consume(ctx, tid, candidate, ResolutionPath.SLOW)
         else:
@@ -76,7 +76,7 @@ class NoBookingEngine(OptimisticMatcher):
                 self._consume(ctx, tid, rematch, ResolutionPath.SLOW)
             else:
                 self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.settled.enter(tid)
 
 
 class NoBarrierEngine(OptimisticMatcher):
@@ -103,7 +103,7 @@ class NoBarrierEngine(OptimisticMatcher):
             self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
             ctx.stats.optimistic_hits += 1
         elif candidate is not None:
-            yield ctx.resolved_below(tid)
+            yield ctx.settled.wait_condition(tid)
             if candidate.is_live():
                 self._consume(ctx, tid, candidate, ResolutionPath.SLOW)
             else:
@@ -115,9 +115,9 @@ class NoBarrierEngine(OptimisticMatcher):
                 else:
                     self._store_unexpected(ctx, tid, msg)
         else:
-            yield ctx.resolved_below(tid)
+            yield ctx.settled.wait_condition(tid)
             self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.settled.enter(tid)
 
 
 class NoConflictDetectionEngine(OptimisticMatcher):
@@ -145,9 +145,9 @@ class NoConflictDetectionEngine(OptimisticMatcher):
                 self._store_unexpected(ctx, tid, msg)
         else:
             ctx.barrier.enter(tid)
-            yield ctx.resolved_below(tid)
+            yield ctx.settled.wait_condition(tid)
             self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.settled.enter(tid)
 
 
 def _unguarded_fast_path_target(candidate, thread_id, stats=None):

@@ -15,22 +15,47 @@ generators under a pluggable policy:
   the booking/barrier protocol under arbitrary schedules.
 
 Yield protocol: a thread yields ``None`` to mark one step of work, or
-yields a zero-argument callable ``cond`` meaning "block me until
-``cond()`` is true". A blocked thread whose condition never becomes
-true while every other thread is blocked or finished is a deadlock and
-raises :class:`DeadlockError` — turning liveness bugs into test
-failures instead of hangs.
+yields a wait meaning "block me until it holds". Two kinds of wait
+exist, and both must be free of side effects:
+
+* :class:`PrefixWait` — "``barrier.prefix >= threshold``", the
+  partial-barrier condition of :class:`repro.core.barrier.PartialBarrier`.
+  The executor *parks* such a thread on its barrier and, after every
+  step, wakes exactly the parked threads whose threshold the barrier's
+  watermark has reached. Nothing is polled while the watermark stands
+  still, so a step costs no scan over the blocked threads.
+* any other zero-argument callable ``cond`` — an opaque condition,
+  polled once per scheduler iteration until ``cond()`` is true (the
+  recovery layer's hang fault and ad-hoc test conditions use this).
+
+Both kinds report the same statistics as an executor that re-polls
+every blocked thread on every iteration: a thread that blocks in
+iteration ``since`` and whose condition a poll would first find true in
+iteration ``k`` is charged ``wait_polls = k - since``. A thread woken
+by the step of iteration ``i`` is charged ``i + 1 - since``; a
+condition already true when yielded costs exactly 1. Policies see the
+same ascending list of runnable thread IDs and are consulted on every
+iteration. ``steps`` and ``wait_polls`` feed the DPA cycle model, so
+this exactness is what keeps every simulated cycle count unchanged.
+
+A blocked thread whose condition never becomes true while every other
+thread is blocked or finished is a deadlock and raises
+:class:`DeadlockError` — turning liveness bugs into test failures
+instead of hangs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.util.rng import make_rng
 
 __all__ = [
     "DeadlockError",
+    "PrefixWait",
     "SchedulePolicy",
     "RoundRobinPolicy",
     "RandomPolicy",
@@ -48,8 +73,31 @@ class DeadlockError(RuntimeError):
     """All live threads are blocked on conditions that cannot progress."""
 
 
+class PrefixWait:
+    """Wait until ``barrier.prefix >= threshold``.
+
+    ``barrier`` is any object with an integer ``prefix`` attribute that
+    changes only while a thread steps (the partial barrier's
+    watermark). Calling the wait evaluates it, so it is also a valid
+    opaque condition.
+    """
+
+    __slots__ = ("barrier", "threshold")
+
+    def __init__(self, barrier, threshold: int) -> None:
+        self.barrier = barrier
+        self.threshold = threshold
+
+    def __call__(self) -> bool:
+        return self.barrier.prefix >= self.threshold
+
+
 class SchedulePolicy:
-    """Chooses which runnable thread advances next."""
+    """Chooses which runnable thread advances next.
+
+    ``runnable`` is the executor's ascending list of runnable thread
+    IDs; a policy must neither keep nor modify it.
+    """
 
     def pick(self, runnable: Sequence[int]) -> int:
         raise NotImplementedError
@@ -68,12 +116,10 @@ class RoundRobinPolicy(SchedulePolicy):
         self._last = -1
 
     def pick(self, runnable: Sequence[int]) -> int:
-        for tid in runnable:
-            if tid > self._last:
-                self._last = tid
-                return tid
-        self._last = runnable[0]
-        return runnable[0]
+        i = bisect_right(runnable, self._last)
+        tid = runnable[i] if i < len(runnable) else runnable[0]
+        self._last = tid
+        return tid
 
 
 class RandomPolicy(SchedulePolicy):
@@ -142,44 +188,68 @@ class SteppedExecutor:
         when no thread can make progress, and ``RuntimeError`` if the
         step budget is exhausted (a livelock guard for tests).
         """
-        self._policy.reset()
-        stats = ThreadStats(
-            steps={tid: 0 for tid in range(len(threads))},
-            wait_polls={tid: 0 for tid in range(len(threads))},
-        )
-        alive: dict[int, ThreadProc] = dict(enumerate(threads))
-        blocked: dict[int, Callable[[], bool]] = {}
-        budget = self._max_steps
+        policy = self._policy
+        policy.reset()
+        pick = policy.pick
+        count = len(threads)
+        steps = [0] * count
+        polls = [0] * count
+        runnable = list(range(count))
+        live = count
+        # barrier -> heap of (threshold, tid) of the threads parked on it
+        parked: dict[object, list[tuple[int, int]]] = {}
+        # parked tid -> iteration in which it blocked
+        since: dict[int, int] = {}
+        # tid -> opaque condition, re-polled every iteration
+        polled: dict[int, Callable[[], bool]] = {}
+        step = 0
+        max_steps = self._max_steps
 
-        while alive:
-            runnable = []
-            for tid in alive:
-                cond = blocked.get(tid)
-                if cond is None:
-                    runnable.append(tid)
-                else:
-                    stats.wait_polls[tid] += 1
+        while live:
+            if polled:
+                for tid, cond in list(polled.items()):
+                    polls[tid] += 1
                     if cond():
-                        del blocked[tid]
-                        runnable.append(tid)
+                        del polled[tid]
+                        insort(runnable, tid)
             if not runnable:
-                waiting = sorted(blocked)
+                waiting = sorted([*since, *polled])
                 raise DeadlockError(
                     f"threads {waiting} are all blocked with unsatisfiable conditions"
                 )
-            tid = self._policy.pick(runnable)
-            stats.steps[tid] += 1
+            tid = pick(runnable)
+            steps[tid] += 1
             try:
-                yielded = alive[tid].send(None)
+                yielded = threads[tid].send(None)
             except StopIteration:
-                del alive[tid]
-                blocked.pop(tid, None)
+                live -= 1
+                del runnable[bisect_left(runnable, tid)]
             else:
                 if yielded is not None:
-                    blocked[tid] = yielded
-            budget -= 1
-            if budget <= 0:
+                    if yielded.__class__ is PrefixWait:
+                        barrier = yielded.barrier
+                        if barrier.prefix >= yielded.threshold:
+                            polls[tid] += 1
+                        else:
+                            del runnable[bisect_left(runnable, tid)]
+                            heap = parked.get(barrier)
+                            if heap is None:
+                                parked[barrier] = heap = []
+                            heappush(heap, (yielded.threshold, tid))
+                            since[tid] = step
+                    else:
+                        del runnable[bisect_left(runnable, tid)]
+                        polled[tid] = yielded
+            if since:
+                for barrier, heap in parked.items():
+                    prefix = barrier.prefix
+                    while heap and heap[0][0] <= prefix:
+                        woken = heappop(heap)[1]
+                        polls[woken] += step + 1 - since.pop(woken)
+                        insort(runnable, woken)
+            step += 1
+            if step >= max_steps:
                 raise RuntimeError(
                     f"executor exceeded {self._max_steps} steps; likely livelock"
                 )
-        return stats
+        return ThreadStats(steps=dict(enumerate(steps)), wait_polls=dict(enumerate(polls)))

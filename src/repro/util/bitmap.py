@@ -105,7 +105,9 @@ class Bitmap:
     def all_below(self, index: int) -> bool:
         """Whether *all* bits strictly below ``index`` are set.
 
-        This is the partial-barrier wait condition for thread ``index``.
+        This is the partial-barrier wait condition for thread ``index``;
+        :class:`repro.core.barrier.PartialBarrier` answers it from a
+        watermark instead, and tests use this as the reference.
         """
         self._check(index)
         mask = (1 << index) - 1

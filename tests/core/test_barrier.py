@@ -1,7 +1,19 @@
 """Tests for the partial barrier."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.barrier import PartialBarrier
 from repro.core.threadsim import RandomPolicy, SteppedExecutor
+from repro.util.bitmap import Bitmap
+
+
+@st.composite
+def enter_sequences(draw):
+    """A width in 1..64 and any order/subset (with repeats) of entries."""
+    width = draw(st.integers(1, 64))
+    entries = draw(st.lists(st.integers(0, width - 1), max_size=2 * width))
+    return width, entries
 
 
 class TestPartialBarrier:
@@ -59,3 +71,30 @@ class TestPartialBarrier:
             for tid, snapshot in exit_snapshots.items():
                 # When thread i exited, every j < i had already entered.
                 assert snapshot.issuperset(range(tid))
+
+
+class TestWatermark:
+    @given(enter_sequences())
+    def test_prefix_tracks_the_bitmap(self, case):
+        width, entries = case
+        barrier = PartialBarrier(width)
+        reference = Bitmap(width)
+        for tid in entries:
+            barrier.enter(tid)
+            reference.set(tid)
+            trailing = 0
+            while trailing < width and reference.test(trailing):
+                trailing += 1
+            assert barrier.prefix == trailing
+            for t in range(width):
+                assert barrier.passed(t) == reference.all_below(t)
+        barrier.reset()
+        assert barrier.prefix == 0
+        assert barrier.passed(0)
+        assert width == 1 or not barrier.passed(1)
+
+    def test_full_barrier_watermark_is_width(self):
+        barrier = PartialBarrier(3)
+        for tid in (2, 0, 1):
+            barrier.enter(tid)
+        assert barrier.prefix == 3

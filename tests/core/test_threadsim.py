@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.threadsim import (
     DeadlockError,
@@ -116,6 +117,18 @@ class TestPolicies:
             return log
 
         assert any(run(a) != run(b) for a, b in [(1, 2), (3, 4), (5, 6)])
+
+    @given(
+        runnable=st.sets(st.integers(0, 40), min_size=1).map(sorted),
+        last=st.integers(-1, 41),
+    )
+    def test_round_robin_matches_linear_scan(self, runnable, last):
+        """The bisect pick equals "first tid above _last, else wrap"."""
+        expected = next((tid for tid in runnable if tid > last), runnable[0])
+        policy = RoundRobinPolicy()
+        policy._last = last
+        assert policy.pick(runnable) == expected
+        assert policy._last == expected
 
     def test_scripted_policy_follows_script(self):
         log = []
