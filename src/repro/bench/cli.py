@@ -1,11 +1,11 @@
-"""Command-line entry point: ``repro-msgrate``.
+"""Command-line entry point: ``repro-bench msgrate``.
 
 Regenerates Figure 8:
 
-    repro-msgrate                      # CI-scale repetitions
-    repro-msgrate --repetitions 500    # full paper parameters
-    repro-msgrate --scenario wc-fp     # one configuration only
-    repro-msgrate --jobs 4 --cache-dir .fleet-cache
+    repro-bench msgrate                      # CI-scale repetitions
+    repro-bench msgrate --repetitions 500    # full paper parameters
+    repro-bench msgrate --scenario wc-fp     # one configuration only
+    repro-bench msgrate --jobs 4 --cache-dir .fleet-cache
 
 With ``--jobs N`` the scenario grid fans out over a
 :mod:`repro.fleet` worker pool; ``--cache-dir`` memoizes per-scenario
@@ -34,7 +34,7 @@ _ALL_SCENARIOS = ("nc", "wc-fp", "wc-sp", "mpi-cpu", "rdma-cpu")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-msgrate",
+        prog="repro-bench msgrate",
         description="Figure 8 message-rate benchmark (ping-pong, §VI)",
     )
     parser.add_argument("--k", type=int, default=PAPER_K, help="messages per sequence")

@@ -1,73 +1,44 @@
 """``repro-bench``: one front door for the benchmark suites.
 
-Subcommands::
-
-    repro-bench pressure    [...]   # budget-enforcement overhead ladder
-    repro-bench reliability [...]   # reliability-layer overhead baseline
-    repro-bench msgrate     [...]   # Figure 8 message-rate benchmark
-    repro-bench cluster     [...]   # cluster-fabric topology/placement sweep
-    repro-bench resilience  [...]   # rank-failure recovery-latency sweep
-    repro-bench gate        [...]   # regression gate vs committed baselines
-
 Each subcommand forwards its remaining arguments to the underlying
 module's ``main``, so ``repro-bench pressure --rounds 24`` and
-``python -m repro.bench.pressure --rounds 24`` are identical
-(``msgrate`` is also installed standalone as ``repro-msgrate``).
+``python -m repro.bench.pressure --rounds 24`` are identical.
 """
 
 from __future__ import annotations
 
-import sys
+from repro.util.frontdoor import dispatch
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "main"]
 
-_USAGE = """\
-usage: repro-bench {pressure,reliability,msgrate,cluster,resilience,gate} [options]
-
-  pressure     memory-budget enforcement ladder (BENCH_pressure.json)
-  reliability  lossy-wire overhead baseline (BENCH_reliability.json)
-  msgrate      Figure 8 ping-pong message rates (repro-msgrate)
-  cluster      fabric sweep: apps x topologies x placements (BENCH_cluster.json)
-  resilience   recovery latency: detector tuning x repair mode (BENCH_resilience.json)
-  gate         compare a fresh BENCH file against its committed baseline
-
-Run `repro-bench <subcommand> --help` for subcommand options.
-"""
+#: subcommand -> (module, one-line help)
+COMMANDS = {
+    "pressure": (
+        "repro.bench.pressure",
+        "memory-budget enforcement ladder (BENCH_pressure.json)",
+    ),
+    "reliability": (
+        "repro.bench.reliability",
+        "lossy-wire overhead baseline (BENCH_reliability.json)",
+    ),
+    "msgrate": ("repro.bench.cli", "Figure 8 ping-pong message rates"),
+    "cluster": (
+        "repro.bench.cluster",
+        "fabric sweep: apps x topologies x placements (BENCH_cluster.json)",
+    ),
+    "resilience": (
+        "repro.bench.resilience",
+        "recovery latency: detector tuning x repair mode (BENCH_resilience.json)",
+    ),
+    "gate": (
+        "repro.bench.gate",
+        "compare a fresh BENCH file against its committed baseline",
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE, end="")
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command == "pressure":
-        from repro.bench.pressure import main as pressure_main
-
-        return pressure_main(rest)
-    if command == "reliability":
-        from repro.bench.reliability import main as reliability_main
-
-        return reliability_main(rest)
-    if command == "msgrate":
-        from repro.bench.cli import main as msgrate_main
-
-        return msgrate_main(rest)
-    if command == "cluster":
-        from repro.bench.cluster import main as cluster_main
-
-        return cluster_main(rest)
-    if command == "resilience":
-        from repro.bench.resilience import main as resilience_main
-
-        return resilience_main(rest)
-    if command == "gate":
-        from repro.bench.gate import main as gate_main
-
-        return gate_main(rest)
-    print(f"repro-bench: unknown subcommand {command!r}", file=sys.stderr)
-    print(_USAGE, end="", file=sys.stderr)
-    return 2
+    return dispatch("repro-bench", COMMANDS, argv)
 
 
 if __name__ == "__main__":

@@ -1,72 +1,45 @@
 """``repro-chaos``: one front door for the chaos suites.
 
-Subcommands::
-
-    repro-chaos soak     [...]   # wire-fault soak (repro.chaos.soak)
-    repro-chaos cores    [...]   # core-fault matrix (repro.chaos.coresoak)
-    repro-chaos overload [...]   # memory-budget soak (repro.chaos.overload)
-    repro-chaos cluster  [...]   # cluster network-fault soak (repro.chaos.cluster)
-    repro-chaos ranks    [...]   # rank fail-stop soak (repro.chaos.ranksoak)
-    repro-chaos health   [...]   # health-alarm lanes (repro.chaos.health)
-
-Each subcommand forwards its remaining arguments to the underlying
-module's ``main``, so ``repro-chaos cores --schedules 16`` and
-``python -m repro.chaos.coresoak --schedules 16`` are identical.
+The five soak families share the command line of
+:mod:`repro.chaos.lanes`. Modules load only when their subcommand
+runs: ``cluster`` and ``ranks`` pull in :mod:`repro.net` and
+:mod:`repro.resilience`.
 """
 
 from __future__ import annotations
 
-import sys
+from repro.util.frontdoor import dispatch
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "main"]
 
-_USAGE = """\
-usage: repro-chaos {soak,cores,overload,cluster,ranks,health} [options]
-
-  soak      wire-fault soak over the standard profiles
-  cores     core-fault matrix: {wire faults} x {core faults} x {engines}
-  overload  memory-budget overload soak (pressure enforcement lanes)
-  cluster   cluster network-fault soak (link flaps / host partition)
-  ranks     rank fail-stop soak (kill / detect / repair lanes)
-  health    health-alarm lanes (fault fires its alarm, clean twin silent)
-
-Run `repro-chaos <subcommand> --help` for subcommand options.
-"""
+#: subcommand -> (family or module, one-line help)
+COMMANDS = {
+    "soak": ("repro.chaos.lanes:SOAK", "wire-fault soak over the standard profiles"),
+    "cores": (
+        "repro.chaos.lanes:CORES",
+        "core-fault matrix: {wire faults} x {core faults} x {engines}",
+    ),
+    "overload": (
+        "repro.chaos.lanes:OVERLOAD",
+        "memory-budget overload soak (pressure enforcement lanes)",
+    ),
+    "cluster": (
+        "repro.chaos.cluster:FAMILY",
+        "cluster network-fault soak (link flaps / host partition)",
+    ),
+    "ranks": (
+        "repro.chaos.ranksoak:FAMILY",
+        "rank fail-stop soak (kill / detect / repair lanes)",
+    ),
+    "health": (
+        "repro.chaos.health",
+        "health-alarm lanes (fault fires its alarm, clean twin silent)",
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_USAGE, end="")
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command == "soak":
-        from repro.chaos.soak import main as soak_main
-
-        return soak_main(rest)
-    if command == "cores":
-        from repro.chaos.coresoak import main as cores_main
-
-        return cores_main(rest)
-    if command == "overload":
-        from repro.chaos.overload import main as overload_main
-
-        return overload_main(rest)
-    if command == "cluster":
-        from repro.chaos.cluster import main as cluster_main
-
-        return cluster_main(rest)
-    if command == "ranks":
-        from repro.chaos.ranksoak import main as ranks_main
-
-        return ranks_main(rest)
-    if command == "health":
-        from repro.chaos.health import main as health_main
-
-        return health_main(rest)
-    print(f"repro-chaos: unknown subcommand {command!r}", file=sys.stderr)
-    print(_USAGE, end="", file=sys.stderr)
-    return 2
+    return dispatch("repro-chaos", COMMANDS, argv)
 
 
 if __name__ == "__main__":

@@ -25,33 +25,18 @@ so survivors hold receives that can never complete and the
 
 Usage::
 
-    PYTHONPATH=src python -m repro.chaos.ranksoak [--schedules N]
-    repro-chaos ranks [--schedules N]
+    repro-chaos ranks [--schedules N] [--ranks R] [--rounds K] [--no-mutants]
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Mapping
-
+from repro.chaos.cluster import HALO_TORUS
+from repro.chaos.lanes import Family, Lane
 from repro.resilience.cluster import ResilienceReport
 from repro.resilience.faults import RankFaultPlan
 from repro.resilience.heartbeat import HeartbeatConfig
 
-__all__ = [
-    "RANK_PROFILES",
-    "MUTANT_PROFILES",
-    "RankSoakResult",
-    "iter_rank_jobs",
-    "rank_soak",
-    "main",
-]
-
-DEFAULT_RANKS = 8
-DEFAULT_ROUNDS = 3
-DEFAULT_SCHEDULES = 4
+__all__ = ["FAMILY", "MUTANT_PROFILES", "RANK_PROFILES"]
 
 _HB = HeartbeatConfig()
 
@@ -116,57 +101,6 @@ MUTANT_PROFILES: dict[str, dict] = {
 }
 
 
-@dataclass(slots=True)
-class RankSoakResult:
-    runs: int = 0
-    failures: int = 0
-    kills: int = 0
-    detections: int = 0
-    false_suspicions: int = 0
-    shrinks: int = 0
-    restarts: int = 0
-    failed_recvs: int = 0
-    backstop_aborts: int = 0
-    failed: list[str] = field(default_factory=list)
-    #: mutant lane name -> seeds on which the planted bug was caught.
-    mutants_caught: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mutants_missed(self) -> list[str]:
-        return sorted(n for n, caught in self.mutants_caught.items() if caught == 0)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0 and not self.mutants_missed
-
-
-def iter_rank_jobs(profiles: Mapping[str, dict], seeds, *, ranks: int, rounds: int):
-    from repro.fleet import JobSpec
-
-    for name, template in profiles.items():
-        plan: RankFaultPlan = template["plan"]
-        hb: HeartbeatConfig | None = template["heartbeat"]
-        for seed in seeds:
-            yield JobSpec(
-                kind="rank_chaos",
-                params={
-                    "app": "halo",
-                    "ranks": ranks,
-                    "rounds": rounds,
-                    "size": template["size"],
-                    "topology": "torus",
-                    "placement": "block",
-                    "profile": name,
-                    "recovery": template["recovery"],
-                    "mutant": template.get("mutant", ""),
-                    "plan": plan.to_params(),
-                    "heartbeat": hb.to_params() if hb is not None else None,
-                    "record": False,
-                },
-                seed=seed,
-            )
-
-
 def _mutant_caught(name: str, report: ResilienceReport) -> bool:
     """Did this run expose the planted bug?"""
     res = report.results
@@ -206,117 +140,63 @@ def _check_real(name: str, report: ResilienceReport) -> str | None:
     return None
 
 
-def rank_soak(
-    schedules: int = DEFAULT_SCHEDULES,
-    seed_base: int = 1,
-    *,
-    ranks: int = DEFAULT_RANKS,
-    rounds: int = DEFAULT_ROUNDS,
-    mutants: bool = True,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    verbose: bool = False,
-    out=None,
-    err=None,
-) -> RankSoakResult:
-    """Run ``schedules`` seeds through every real (and mutant) lane."""
-    from repro.fleet import run_jobs
-
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-
-    table: dict[str, dict] = dict(RANK_PROFILES)
-    if mutants:
-        table.update(MUTANT_PROFILES)
-    seeds = range(seed_base, seed_base + schedules)
-    result = RankSoakResult(
-        mutants_caught={name: 0 for name in (MUTANT_PROFILES if mutants else ())}
-    )
-    fleet = run_jobs(
-        iter_rank_jobs(table, seeds, ranks=ranks, rounds=rounds),
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
-    for outcome in fleet.outcomes:
-        name = outcome.spec.params["profile"]
-        seed = outcome.spec.seed
-        result.runs += 1
-        if not outcome.ok:
-            result.failures += 1
-            result.failed.append(f"{name}/seed={seed}")
-            print(f"FAIL {name} seed={seed}: quarantined ({outcome.error})", file=err)
-            continue
-        report: ResilienceReport = outcome.result
-        res = report.results
-        result.kills += len(res["kills"])
-        result.detections += res["failures_detected"]
-        result.false_suspicions += len(res["false_suspicions"])
-        result.shrinks += res["shrinks"]
-        result.restarts += res["restarts"]
-        result.failed_recvs += res["failed_recvs"]
-        result.backstop_aborts += res["backstop_aborts"]
-        if verbose:
-            print(
-                f"{name:>22} seed={seed}: {len(res['kills'])} kills, "
-                f"{res['failures_detected']} detected "
-                f"(latency<={res['detection_latency_max']}), "
-                f"{res['shrinks']} shrinks, {res['restarts']} restarts, "
-                f"{res['failed_recvs']} failed recvs, "
-                f"{len(res['violations'])} violations",
-                file=out,
-            )
-        if name in MUTANT_PROFILES:
-            if _mutant_caught(name, report):
-                result.mutants_caught[name] += 1
-            continue
-        reason = _check_real(name, report)
-        if reason is not None:
-            result.failures += 1
-            result.failed.append(f"{name}/seed={seed}")
-            print(f"FAIL {name} seed={seed}: {reason}", file=err)
-    caught = sum(1 for n in result.mutants_caught.values() if n)
-    print(
-        f"rank soak: {result.runs} runs, {result.kills} kills, "
-        f"{result.detections} detected, {result.false_suspicions} false "
-        f"suspicions, {result.shrinks} shrinks, {result.restarts} restarts, "
-        f"{result.failures} failures, "
-        f"mutants caught {caught}/{len(result.mutants_caught)}",
-        file=out,
-    )
-    if result.mutants_missed:
-        print(f"MUTANTS MISSED: {result.mutants_missed}", file=err)
-    return result
+def _check(lane: Lane, report: ResilienceReport) -> str | None:
+    if lane.mutant:
+        return "planted bug caught" if _mutant_caught(lane.name, report) else None
+    return _check_real(lane.name, report)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="rank fail-stop soak (kill / detect / repair lanes)"
+def _describe(lane: Lane, report: ResilienceReport) -> str:
+    res = report.results
+    return (
+        f"{len(res['kills'])} kills, {res['failures_detected']} detected "
+        f"(latency<={res['detection_latency_max']}), "
+        f"{res['shrinks']} shrinks, {res['restarts']} restarts, "
+        f"{res['failed_recvs']} failed recvs, "
+        f"{len(res['violations'])} violations"
     )
-    parser.add_argument("--schedules", type=int, default=DEFAULT_SCHEDULES)
-    parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument(
-        "--no-mutants", action="store_true", help="skip the planted-bug lanes"
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="fleet worker count")
-    parser.add_argument(
-        "--cache-dir", default=None, help="content-addressed result cache"
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    result = rank_soak(
-        args.schedules,
-        args.seed_base,
-        ranks=args.ranks,
-        rounds=args.rounds,
-        mutants=not args.no_mutants,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        verbose=args.verbose,
-    )
-    return 0 if result.ok else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def _tally(report: ResilienceReport) -> dict[str, int]:
+    res = report.results
+    return {
+        "kills": len(res["kills"]),
+        "detected": res["failures_detected"],
+        "false_suspicions": len(res["false_suspicions"]),
+        "shrinks": res["shrinks"],
+        "restarts": res["restarts"],
+        "failed_recvs": res["failed_recvs"],
+        "backstop_aborts": res["backstop_aborts"],
+    }
+
+
+def _lane(name: str, template: dict, mutant: bool = False) -> Lane:
+    hb: HeartbeatConfig | None = template["heartbeat"]
+    params = {
+        **HALO_TORUS,
+        "size": template["size"],
+        "recovery": template["recovery"],
+        "mutant": template.get("mutant", ""),
+        "plan": template["plan"].to_params(),
+        "heartbeat": hb.to_params() if hb is not None else None,
+        "record": False,
+    }
+    return Lane(name, params, mutant)
+
+
+FAMILY = Family(
+    name="ranks",
+    kind="rank_chaos",
+    lanes=tuple(_lane(name, t) for name, t in RANK_PROFILES.items())
+    + tuple(_lane(name, t, mutant=True) for name, t in MUTANT_PROFILES.items()),
+    check=_check,
+    describe=_describe,
+    tally=_tally,
+    summary=(
+        "rank soak: {runs} runs, {kills} kills, {detected} detected, "
+        "{false_suspicions} false suspicions, {shrinks} shrinks, "
+        "{restarts} restarts, {failures} failures, "
+        "mutants caught {caught}/{mutants}"
+    ),
+    knobs={"ranks": 8, "rounds": 3},
+)

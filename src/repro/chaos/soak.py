@@ -1,47 +1,68 @@
-"""Chaos soak loop: many seeded schedules, several fault profiles.
+"""Chaos lane tables: the wire, core-fault and overload matrices.
 
-Usage::
+Each table maps a lane name to a :class:`ChaosConfig` template (the job
+seed replaces ``seed``). :mod:`repro.chaos.lanes` turns them into the
+``soak``, ``cores`` and ``overload`` families of ``repro-chaos``.
+This module holds data only, so importing it for :data:`PROFILES`
+pulls in nothing beyond the harness and its fault-plan types.
 
-    PYTHONPATH=src python -m repro.chaos.soak --seeds 50
-    PYTHONPATH=src python -m repro.chaos.soak --seeds 20 \
-        --trace-out soak.trace.json --metrics-out soak.metrics.json
+**Wire lanes** (:data:`PROFILES`). Each seed runs through every
+profile; any correctness violation (lost/duplicated message or oracle
+divergence) fails the soak. Transport failures are violations too:
+every profile here is expected to survive its fault plan.
 
-Runs each seed through every profile and exits nonzero on the first
-correctness violation (lost/duplicated message or oracle divergence).
-Transport failures only count as violations under profiles that are
-expected to survive; the ``hostile`` profile is allowed to fail, but
-must fail *deterministically*.
+**Core-fault lanes** (:data:`CORE_PROFILES`) run the genuine
+optimistic engine under accelerator core faults (fail-stop / hang /
+bit-flip, alone and mixed with wire chaos) with the online pairing
+watchdog enabled. Every report must be ``ok``: the checkpoint/replay
+recoverer has to hide every injected fault. Any oracle divergence is a
+soak failure, attributable from the report alone (seed + round + block
+of first violation). ``--assert-replay`` / ``--assert-takeover``
+additionally require the matrix to have *exercised* the recovery
+machinery — a soak that never recovered anything proves nothing.
 
-Observability: ``--metrics-out`` writes a :mod:`repro.obs.registry`
-snapshot (counters labeled by profile, cumulative across every run —
-render with ``python -m repro.obs.report``). ``--trace-out`` writes a
-Chrome ``trace_event`` JSON for Perfetto: for each profile, the most
-*eventful* seed (weighted toward spill/recovery windows, then
-retransmits and RNR stalls) is deterministically re-run under a scoped
-tracer, so one file holds a representative simulated-time timeline per
-profile without tracing every run.
+**Mutant lanes** (:data:`MUTANT_PROFILES`) run each deliberately
+broken engine from :data:`repro.core.faults.MUTANT_ENGINES` on a clean
+wire with the watchdog enabled. Here a *clean* matrix is the failure:
+each mutant must be caught online (oracle divergence or an
+engine-internal crash) on at least one seed, proving the watchdog is
+not vacuous.
+
+**Overload lanes** (:data:`OVERLOAD_PROFILES`) run the full receive
+pipeline with ``pressure=True`` — the
+:class:`repro.pressure.controller.PressuredPipeline` charging posted
+descriptors, unexpected headers, and bounce buffers against a
+:class:`repro.pressure.budget.PressureBudget` — and the watchdog on.
+Three budget shapes:
+
+* **paper** — the §III-E model (128 bins + 8K receives ≈ 520 KiB)
+  under a heavy offered load: enforcement is armed but the budget is
+  generous, so the lane proves the books are kept without perturbing
+  matching.
+* **evict** — a tight explicit budget over an undersized bounce pool:
+  unexpected messages must be evicted to host (and recalled on
+  demand) for the run to complete.
+* **takeover** — a budget small enough that eviction alone cannot
+  create headroom: the pipeline escalates to full host takeover, then
+  re-offloads once the working set drains below the low watermark.
+
+Two overload invariants are always enforced, no flag needed: zero
+``budget_overruns`` on every run (enforcement must never let a charge
+exceed the budget), and every report ``ok`` (defer, demote, evict and
+take over may slow a run down but must never change which receive a
+message pairs with). The ``--assert-*`` gates additionally require each
+rung of that ladder to have fired somewhere in the matrix.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import replace
-from typing import Iterable, Iterator
-
-from repro.chaos.harness import (
-    ChaosConfig,
-    ChaosReport,
-    config_to_params,
-    run_chaos,
-)
-from repro.fleet import JobSpec, run_jobs
-from repro.obs.ledger import NULL_RECORDER, FlightRecorder, LedgerDump
-from repro.obs.registry import MetricsRegistry, MetricsSnapshot
-from repro.obs.trace import NULL_TRACER, ScopedTracer, SpanTracer
+from repro.chaos.harness import ChaosConfig
+from repro.core.faults import MUTANT_ENGINES
 from repro.rdma.faultwire import FaultPlan
+from repro.recovery.faults import CoreFaultPlan
+from repro.recovery.quarantine import RecoveryPolicy
 
-__all__ = ["PROFILES", "iter_soak_jobs", "main", "soak"]
+__all__ = ["CORE_PROFILES", "MUTANT_PROFILES", "OVERLOAD_PROFILES", "PROFILES"]
 
 #: name -> config template (fault plan, resources, matcher shape).
 PROFILES: dict[str, ChaosConfig] = {
@@ -71,9 +92,8 @@ PROFILES: dict[str, ChaosConfig] = {
     ),
     # Tight §III-E budget under a bursty unexpected-heavy schedule: the
     # pressure pipeline has to evict, demote, and defer to stay inside
-    # the ledger (the dedicated overload matrix lives in
-    # :mod:`repro.chaos.overload`; this lane keeps the default soak
-    # honest about the pressure path).
+    # the ledger (the dedicated overload matrix is OVERLOAD_PROFILES;
+    # this lane keeps the default soak honest about the pressure path).
     "overload": ChaosConfig(
         pressure=True,
         budget_bytes=20000,
@@ -86,325 +106,80 @@ PROFILES: dict[str, ChaosConfig] = {
     ),
 }
 
-#: ChaosReport counters folded into the soak metrics registry.
-_REPORT_COUNTERS = (
-    "sent",
-    "delivered",
-    "retransmits",
-    "rnr_naks",
-    "faults_injected",
-    "dropped",
-    "duplicated",
-    "reordered",
-    "corrupted",
-    "host_spills",
-    "degraded_stagings",
-    "fallback_spills",
-    "fallback_recoveries",
-    "engine_retransmits",
-    "engine_rnr_naks",
-    "core_fail_stops",
-    "core_hangs",
-    "core_bit_flips",
-    "block_rollbacks",
-    "blocks_replayed",
-    "cores_quarantined",
-    "core_repairs",
-    "host_takeovers",
-    "reoffloads",
-    "watchdog_checks",
-    "budget_overruns",
-    "demotions",
-    "evictions",
-    "recalls",
-    "posts_deferred",
-    "credit_holds",
-    "pressure_entries",
-    "pressure_exits",
-    "pressure_takeovers",
-    "pressure_reoffloads",
+#: Real-engine lanes: core faults (and, for ``storm``, wire faults too)
+#: with the online watchdog at every round boundary.
+CORE_PROFILES: dict[str, ChaosConfig] = {
+    "failstop": ChaosConfig(
+        core_plan=CoreFaultPlan(fail_stop_rate=0.08), watchdog=True
+    ),
+    "hang": ChaosConfig(core_plan=CoreFaultPlan(hang_rate=0.06), watchdog=True),
+    "bitflip": ChaosConfig(
+        core_plan=CoreFaultPlan(bit_flip_rate=0.08), watchdog=True
+    ),
+    # Full matrix cell: lossy wire *and* faulty cores at once.
+    "storm": ChaosConfig(
+        plan=FaultPlan(drop_rate=0.05, duplicate_rate=0.05, reorder_rate=0.08),
+        core_plan=CoreFaultPlan.storm(),
+        watchdog=True,
+    ),
+    # Aggressive fail-stop against a hair-trigger quarantine: blocks
+    # escalate to host takeover, then — once quick repairs drain the
+    # quarantine — re-offload back onto the accelerator.
+    "takeover": ChaosConfig(
+        core_plan=CoreFaultPlan(fail_stop_rate=0.35),
+        recovery=RecoveryPolicy(quarantine_threshold=1, repair_epochs=3),
+        cores=8,
+        rounds=12,
+        watchdog=True,
+    ),
+}
+
+#: Conflict-heavy schedule shared by every mutant lane: few tags, few
+#: senders, lots of wildcards — the contention the planted bugs corrupt.
+_MUTANT_SCHEDULE = dict(
+    rounds=8,
+    max_posts_per_round=6,
+    max_sends_per_round=6,
+    tags=2,
+    senders=2,
+    wildcard_rate=0.4,
+    watchdog=True,
 )
 
+#: Mutant lanes: one per planted engine bug, clean wire, watchdog on.
+MUTANT_PROFILES: dict[str, ChaosConfig] = {
+    f"mutant-{name}": ChaosConfig(engine=name, **_MUTANT_SCHEDULE)
+    for name in sorted(MUTANT_ENGINES)
+}
 
-def _describe(name: str, report: ChaosReport) -> str:
-    return (
-        f"{name} seed={report.seed}: sent={report.sent} delivered={report.delivered} "
-        f"faults={report.faults_injected} retransmits={report.retransmits} "
-        f"rnr={report.rnr_naks} spills={report.host_spills} "
-        f"generations={1 + report.fallback_recoveries}"
-    )
+#: Bursty many-sender schedule shared by the tight-budget lanes: few
+#: posts, floods of sends, an undersized bounce pool — the unexpected
+#: queue and its bounce staging dominate the ledger.
+_TIGHT_SCHEDULE = dict(
+    senders=4,
+    rounds=16,
+    max_posts_per_round=2,
+    max_sends_per_round=12,
+    bounce_buffers=8,
+    watchdog=True,
+    pressure=True,
+)
 
-
-def _interest(report: ChaosReport) -> int:
-    """How much a run would show in a trace (for picking what to trace)."""
-    return (
-        1000 * (report.fallback_spills + report.fallback_recoveries)
-        + 1000 * (report.host_takeovers + report.reoffloads)
-        + 1000 * (report.pressure_takeovers + report.pressure_reoffloads)
-        + 100 * report.blocks_replayed
-        + 100 * (report.evictions + report.recalls)
-        + 10 * report.block_rollbacks
-        + 10 * report.demotions
-        + report.retransmits
-        + report.rnr_naks
-        + report.posts_deferred
-    )
-
-
-def _record(registry: MetricsRegistry, name: str, report: ChaosReport) -> None:
-    """Fold one run's report into the cumulative soak metrics."""
-    labels = {"profile": name}
-    registry.counter("chaos.runs", "chaos runs executed").labels(**labels).inc()
-    if not report.ok:
-        registry.counter("chaos.failures", "runs violating exactly-once/oracle").labels(
-            **labels
-        ).inc()
-    if report.transport_failed:
-        registry.counter(
-            "chaos.transport_failures", "runs ending in TransportError"
-        ).labels(**labels).inc()
-    for field_name in _REPORT_COUNTERS:
-        registry.counter(
-            f"chaos.{field_name}", f"cumulative ChaosReport.{field_name}"
-        ).labels(**labels).inc(getattr(report, field_name))
-    registry.histogram(
-        "chaos.retransmits_per_run",
-        "retransmissions needed by one run",
-        buckets=(0, 1, 2, 5, 10, 20, 50, 100),
-    ).labels(**labels).observe(report.retransmits)
-    registry.histogram(
-        "chaos.generations_per_run",
-        "engine generations one run spanned",
-        buckets=(1, 2, 3, 5, 8),
-    ).labels(**labels).observe(1 + report.fallback_recoveries)
-
-
-def iter_soak_jobs(
-    names: Iterable[str],
-    seeds: range,
-    *,
-    profiles: dict[str, ChaosConfig] | None = None,
-) -> Iterator[JobSpec]:
-    """Lazily enumerate the soak matrix as fleet jobs.
-
-    A generator on purpose: a 220-schedule soak never materializes its
-    grid — the scheduler pulls jobs as worker slots free up.
-    Profile-major, seed-minor order fixes job indices (and therefore
-    the merge order of parallel runs). ``profiles`` substitutes a
-    different name -> config table (the core-fault soak reuses this
-    machinery with its own matrix).
-    """
-    table = PROFILES if profiles is None else profiles
-    for name in names:
-        params = {"profile": name, "config": config_to_params(table[name])}
-        for seed in seeds:
-            yield JobSpec(kind="chaos_run", params=params, seed=seed)
-
-
-def soak(
-    names: list[str],
-    seeds: range,
-    *,
-    tracer: SpanTracer | None = None,
-    registry: MetricsRegistry | None = None,
-    verbose: bool = False,
-    out=sys.stdout,
-    err=sys.stderr,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    profiles: dict[str, ChaosConfig] | None = None,
-    ledger_sink: list[LedgerDump] | None = None,
-) -> tuple[int, int]:
-    """Run the soak matrix; returns ``(runs, failures)``.
-
-    ``jobs``/``cache_dir`` route the matrix through the
-    :mod:`repro.fleet` scheduler: the (profile, seed) grid fans out
-    over a worker pool and/or memoizes per-cell reports. Outcomes are
-    merged in enumeration order, so failure output, metrics recording,
-    and trace-seed selection are identical to a serial run.
-
-    With a ``tracer``, each profile's most eventful seed is re-run
-    (deterministically — same seed, same report) under a scoped view
-    so the trace holds one timeline per profile.
-
-    With a ``ledger_sink`` (a list to append :class:`LedgerDump` parts
-    to), the same representative re-run also carries a
-    :class:`repro.obs.ledger.FlightRecorder`, giving one per-message
-    lifecycle ledger per profile — and every *failing* seed is re-run
-    with a recorder so its first-violation passport (the exact phase
-    history of the message that broke) lands on ``err`` and in the dump.
-    """
-    table = PROFILES if profiles is None else profiles
-    failures = 0
-    runs = 0
-    fleet = run_jobs(
-        iter_soak_jobs(names, seeds, profiles=table), jobs=jobs, cache_dir=cache_dir
-    )
-    by_profile: dict[str, list[ChaosReport]] = {name: [] for name in names}
-    for outcome in fleet.outcomes:
-        name = outcome.spec.params["profile"]
-        if not outcome.ok:
-            failures += 1
-            runs += 1
-            print(
-                f"FAIL {name} seed={outcome.spec.seed}: quarantined "
-                f"({outcome.error})",
-                file=err,
-            )
-            continue
-        report: ChaosReport = outcome.result
-        runs += 1
-        by_profile[name].append(report)
-        if registry is not None:
-            _record(registry, name, report)
-        if verbose:
-            print(_describe(name, report), file=out)
-        if not report.ok:
-            failures += 1
-            print(f"FAIL {_describe(name, report)}", file=err)
-            if report.transport_failed:
-                print(f"  transport: {report.transport_error}", file=err)
-            if report.engine_failed:
-                print(f"  engine: {report.engine_error}", file=err)
-            if report.first_violation:
-                print(
-                    f"  first violation (round={report.first_violation_round} "
-                    f"block={report.first_violation_block}): "
-                    f"{report.first_violation}",
-                    file=err,
-                )
-            for line in report.duplicates[:5]:
-                print(f"  duplicate: {line}", file=err)
-            for line in report.missing[:5]:
-                print(f"  missing: {line}", file=err)
-            for line in report.mismatches[:5]:
-                print(f"  mismatch: {line}", file=err)
-            if ledger_sink is not None:
-                # Deterministic re-run of the failing seed with the
-                # flight recorder: the report ships the violating
-                # message's passport, the sink gets the full ledger.
-                lrec = FlightRecorder()
-                rerun = run_chaos(
-                    replace(table[name], seed=report.seed), recorder=lrec
-                )
-                ledger_sink.append(
-                    lrec.export(scenario=f"{name}/seed{report.seed}")
-                )
-                if rerun.passport:
-                    phases = "->".join(
-                        str(t[1]) for t in rerun.passport.get("transitions", ())
-                    )
-                    print(
-                        f"  passport {rerun.passport.get('label', '')}: {phases}",
-                        file=err,
-                    )
-    trace_on = tracer is not None and tracer.enabled
-    if trace_on or ledger_sink is not None:
-        for name in names:
-            best_seed: int | None = None
-            best_interest = -1
-            for report in by_profile[name]:
-                interest = _interest(report)
-                if not report.transport_failed and interest > best_interest:
-                    best_seed, best_interest = report.seed, interest
-            if best_seed is None:
-                continue
-            scoped = ScopedTracer(tracer, f"{name}/") if trace_on else NULL_TRACER
-            recorder = (
-                FlightRecorder() if ledger_sink is not None else NULL_RECORDER
-            )
-            run_chaos(
-                replace(table[name], seed=best_seed),
-                tracer=scoped,
-                recorder=recorder,
-            )
-            if ledger_sink is not None:
-                ledger_sink.append(recorder.export(scenario=name))
-            if verbose:
-                print(f"{name}: traced seed {best_seed}", file=out)
-    return runs, failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=50, help="seeds per profile")
-    parser.add_argument("--seed-base", type=int, default=1, help="first seed")
-    parser.add_argument("--profile", choices=sorted(PROFILES), default=None)
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="write a Perfetto-loadable Chrome trace of one representative "
-        "seed per profile",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write a cumulative metrics snapshot (JSON) of every run",
-    )
-    parser.add_argument(
-        "--ledger-out",
-        metavar="PATH",
-        default=None,
-        help="write a per-message flight-recorder ledger "
-        "(repro.obs.ledger JSON) of one representative seed per "
-        "profile; failing seeds are re-run under the recorder and "
-        "their first-violation passport is printed "
-        "(analyze with repro-obs attribution / critical-path / flows)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fleet worker processes for the soak matrix (1 = inline)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache for soak runs",
-    )
-    args = parser.parse_args(argv)
-
-    names = [args.profile] if args.profile else sorted(PROFILES)
-    tracer = SpanTracer() if args.trace_out else None
-    registry = MetricsRegistry() if args.metrics_out else None
-    ledger_sink: list[LedgerDump] | None = [] if args.ledger_out else None
-    runs, failures = soak(
-        names,
-        range(args.seed_base, args.seed_base + args.seeds),
-        tracer=tracer,
-        registry=registry,
-        verbose=args.verbose,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        ledger_sink=ledger_sink,
-    )
-    if tracer is not None:
-        tracer.write(args.trace_out)
-        print(f"trace: {args.trace_out} ({len(tracer)} events)")
-    if ledger_sink is not None:
-        dump = LedgerDump()
-        for part in ledger_sink:
-            dump = dump.merge(part)
-        with open(args.ledger_out, "w", encoding="utf-8") as fp:
-            fp.write(dump.to_json())
-        records = sum(
-            len(payload.get("records", ())) for payload in dump.scenarios.values()
-        )
-        print(
-            f"ledger: {args.ledger_out} "
-            f"({len(dump.scenarios)} scenarios, {records} records)"
-        )
-    if registry is not None:
-        snapshot: MetricsSnapshot = registry.snapshot()
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            fp.write(snapshot.to_json())
-        print(f"metrics: {args.metrics_out} ({len(snapshot.values)} series)")
-    print(f"chaos soak: {runs} runs, {failures} failures")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: name -> config template. Budgets shrink down the table: ``paper``
+#: never needs the ladder, ``evict`` needs eviction/recall, and
+#: ``takeover`` needs the full host-takeover escalation.
+OVERLOAD_PROFILES: dict[str, ChaosConfig] = {
+    "paper": ChaosConfig(
+        pressure=True,
+        budget_bytes=0,  # §III-E model
+        senders=4,
+        rounds=20,
+        max_posts_per_round=2,
+        max_sends_per_round=24,
+        bounce_buffers=128,
+        max_receives=8192,
+        watchdog=True,
+    ),
+    "evict": ChaosConfig(budget_bytes=20000, **_TIGHT_SCHEDULE),
+    "takeover": ChaosConfig(budget_bytes=12000, **_TIGHT_SCHEDULE),
+}

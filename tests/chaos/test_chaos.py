@@ -14,7 +14,8 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.chaos.harness import ChaosConfig, run_chaos
-from repro.chaos.soak import PROFILES, main as soak_main
+from repro.chaos.cli import main as chaos_main
+from repro.chaos.soak import PROFILES
 from repro.rdma.faultwire import FaultPlan
 
 #: 5 profiles x 55 seeds = 275 schedules.
@@ -93,6 +94,6 @@ def test_retransmits_reach_engine_stats() -> None:
 
 def test_soak_cli_smoke(capsys: pytest.CaptureFixture[str]) -> None:
     """The CLI entry point runs green on a small seed range."""
-    assert soak_main(["--seeds", "2"]) == 0
+    assert chaos_main(["soak", "--schedules", "2"]) == 0
     out = capsys.readouterr().out
     assert f"{2 * len(PROFILES)} runs, 0 failures" in out

@@ -6,26 +6,30 @@ partition profile must actually exercise recovery (drops observed).
 """
 
 import io
+from dataclasses import replace
 
-from repro.chaos.cluster import CLUSTER_PROFILES, main as cluster_main, soak
+from repro.chaos.cluster import CLUSTER_PROFILES, FAMILY
+from repro.chaos.lanes import run_family
 
 
 class TestSoak:
     def test_all_profiles_zero_violations(self):
         out, err = io.StringIO(), io.StringIO()
-        result = soak(schedules=2, ranks=8, rounds=2, out=out, err=err)
+        family = replace(FAMILY, knobs={"ranks": 8, "rounds": 2})
+        result = run_family(family, 2, out=out, err=err)
         assert result.ok, err.getvalue()
         assert result.runs == 2 * len(CLUSTER_PROFILES)
-        assert result.violations == 0
+        assert result.counters["violations"] == 0
 
     def test_partition_profile_exercises_recovery(self):
         out = io.StringIO()
-        result = soak(schedules=3, ranks=8, rounds=2, out=out, err=out)
+        family = replace(FAMILY, knobs={"ranks": 8, "rounds": 2})
+        result = run_family(family, 3, out=out, err=out)
         assert result.ok, out.getvalue()
         # The partition windows must have actually dropped packets —
         # a soak that never faults proves nothing.
-        assert result.drops > 0
-        assert result.retransmits > 0
+        assert result.counters["drops"] > 0
+        assert result.counters["retransmits"] > 0
 
     def test_profiles_cover_fault_families(self):
         assert CLUSTER_PROFILES["clean"].is_clean
@@ -35,7 +39,7 @@ class TestSoak:
 
 class TestCli:
     def test_main_exits_zero(self, capsys):
-        assert cluster_main(["--schedules", "1", "--rounds", "1"]) == 0
+        assert FAMILY(["--schedules", "1", "--rounds", "1"]) == 0
         assert "cluster soak:" in capsys.readouterr().out
 
     def test_chaos_frontdoor_dispatches(self, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.coresoak import CORE_PROFILES, MUTANT_PROFILES
+from repro.chaos.soak import CORE_PROFILES, MUTANT_PROFILES
 from repro.chaos.harness import (
     ChaosConfig,
     ChaosReport,

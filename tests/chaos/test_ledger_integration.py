@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.coresoak import MUTANT_PROFILES
 from repro.chaos.harness import ChaosConfig, ChaosReport, run_chaos
-from repro.chaos.soak import soak
+from repro.chaos.lanes import SOAK, run_family
+from repro.chaos.soak import MUTANT_PROFILES
 from repro.fleet.codec import decode_result, encode_result
 from repro.obs.attribution import check_conservation
 from repro.obs.ledger import FlightRecorder, LedgerDump, MessageRecord
@@ -81,14 +81,13 @@ class TestViolationPassport:
 class TestLedgerPlumbing:
     def test_soak_fills_ledger_sink(self):
         sink: list[LedgerDump] = []
-        runs, failures = soak(
-            ["clean"],
-            range(1, 3),
-            out=io.StringIO(),
-            err=io.StringIO(),
-            ledger_sink=sink,
+        clean_only = replace(
+            SOAK, lanes=tuple(lane for lane in SOAK.lanes if lane.name == "clean")
         )
-        assert failures == 0 and runs == 2
+        result = run_family(
+            clean_only, 2, out=io.StringIO(), err=io.StringIO(), ledger_sink=sink
+        )
+        assert result.failures == 0 and result.runs == 2
         assert len(sink) == 1  # one representative dump per profile
         assert "clean" in sink[0].scenarios
         assert any(True for _ in sink[0].iter_records())

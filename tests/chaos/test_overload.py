@@ -5,7 +5,8 @@ import io
 import pytest
 
 from repro.chaos.harness import ChaosConfig, run_chaos
-from repro.chaos.overload import OVERLOAD_PROFILES, overload_soak
+from repro.chaos.lanes import OVERLOAD, run_family
+from repro.chaos.soak import OVERLOAD_PROFILES
 
 #: Report fields allowed to differ between a pressure=False run and a
 #: pressure=True run with an unlimited budget: the books are kept (and
@@ -37,18 +38,19 @@ class TestProfiles:
 
 class TestSoak:
     def test_small_matrix_is_clean_and_nonvacuous(self):
-        result = overload_soak(6, out=io.StringIO(), err=io.StringIO())
+        result = run_family(OVERLOAD, 6, out=io.StringIO(), err=io.StringIO())
+        counters = result.counters
         assert result.runs == 6 * len(OVERLOAD_PROFILES)
         assert result.failures == 0
-        assert result.budget_overruns == 0
+        assert counters["overruns"] == 0
         # Each rung of the degradation ladder actually fired somewhere
         # in the matrix — a soak that never evicts proves nothing.
-        assert result.posts_deferred > 0
-        assert result.demotions > 0
-        assert result.evictions > 0
-        assert result.recalls > 0
-        assert result.takeovers > 0
-        assert result.peak_charged_bytes > 0
+        assert counters["deferred"] > 0
+        assert counters["demoted"] > 0
+        assert counters["evicted"] > 0
+        assert counters["recalled"] > 0
+        assert counters["takeovers"] > 0
+        assert counters["peak"] > 0
 
 
 class TestUnlimitedEquivalence:

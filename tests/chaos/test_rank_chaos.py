@@ -3,25 +3,22 @@
 import io
 
 from repro.chaos.harness import ChaosReport
-from repro.chaos.ranksoak import (
-    MUTANT_PROFILES,
-    RANK_PROFILES,
-    main as ranks_main,
-    rank_soak,
-)
+from repro.chaos.lanes import run_family
+from repro.chaos.ranksoak import FAMILY, MUTANT_PROFILES, RANK_PROFILES
 
 
 class TestSoak:
     def test_real_lanes_hold_and_mutants_are_caught(self):
         out, err = io.StringIO(), io.StringIO()
-        result = rank_soak(schedules=2, out=out, err=err)
+        result = run_family(FAMILY, 2, out=out, err=err)
+        counters = result.counters
         assert result.ok, err.getvalue()
         assert result.runs == 2 * (len(RANK_PROFILES) + len(MUTANT_PROFILES))
-        assert result.false_suspicions == 0
+        assert counters["false_suspicions"] == 0
         # The fault lanes must actually kill and recover something.
-        assert result.kills > 0
-        assert result.detections > 0
-        assert result.shrinks > 0 and result.restarts > 0
+        assert counters["kills"] > 0
+        assert counters["detected"] > 0
+        assert counters["shrinks"] > 0 and counters["restarts"] > 0
         assert result.mutants_missed == []
 
     def test_mutant_lanes_cover_every_planted_bug(self):
@@ -39,7 +36,7 @@ class TestSoak:
 
 class TestCli:
     def test_main_exits_zero(self, capsys):
-        assert ranks_main(["--schedules", "1", "--no-mutants"]) == 0
+        assert FAMILY(["--schedules", "1", "--no-mutants"]) == 0
         assert "rank soak:" in capsys.readouterr().out
 
     def test_chaos_frontdoor_dispatches(self, capsys):

@@ -148,7 +148,7 @@ def test_pressure_report_v3_counters_survive_codec():
     overload lane) must round-trip through the fleet result codec
     exactly — the soak's registry folds are only as good as what the
     cache hands back."""
-    from repro.chaos.overload import OVERLOAD_PROFILES
+    from repro.chaos.soak import OVERLOAD_PROFILES
     from dataclasses import replace
 
     report = run_chaos(replace(OVERLOAD_PROFILES["evict"], seed=4))

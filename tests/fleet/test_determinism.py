@@ -10,10 +10,12 @@ drivers advertise.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analyzer.sweep import sweep_applications
-from repro.chaos.soak import iter_soak_jobs
+from repro.chaos.lanes import SOAK, family_jobs
 from repro.fleet import RetryPolicy, run_jobs
 
 #: Small but non-trivial: three apps with different op mixes.
@@ -130,10 +132,13 @@ def test_strict_sweep_raises_on_quarantine(tmp_path):
 
 def test_soak_matrix_parallelism_independent():
     """chaos_run payloads are identical at jobs=1 and jobs=2."""
-    names = ["clean", "drops"]
+    family = replace(
+        SOAK,
+        lanes=tuple(lane for lane in SOAK.lanes if lane.name in ("clean", "drops")),
+    )
     seeds = range(1, 3)
-    serial = run_jobs(iter_soak_jobs(names, seeds), jobs=1)
-    parallel = run_jobs(iter_soak_jobs(names, seeds), jobs=2)
+    serial = run_jobs(family_jobs(family, seeds), jobs=1)
+    parallel = run_jobs(family_jobs(family, seeds), jobs=2)
     assert [o.payload for o in serial.outcomes] == [
         o.payload for o in parallel.outcomes
     ]

@@ -33,7 +33,7 @@ class TestReadme:
         for command in (
             "repro-analyze",
             "repro-fleet",
-            "repro-msgrate",
+            "repro-bench",
             "repro-reproduce",
         ):
             assert command in scripts, command
