@@ -1,7 +1,12 @@
 """The MPI trace analyzer (contribution C2)."""
 
 from repro.analyzer.artifact import export_artifact, export_trace_analysis, load_summary
-from repro.analyzer.commgraph import CommGraphStats, build_comm_graph, graph_stats
+from repro.analyzer.commgraph import (
+    CommGraph,
+    CommGraphStats,
+    build_comm_graph,
+    graph_stats,
+)
 from repro.analyzer.compare import ComparisonReport, MetricDelta, compare_analyses
 from repro.analyzer.fullreport import format_app_report
 from repro.analyzer.model import BinsPrediction, compare_with_measurement, predict
@@ -30,6 +35,7 @@ __all__ = [
     "FIGURE7_BINS",
     "QueueDepthStats",
     "BinsPrediction",
+    "CommGraph",
     "CommGraphStats",
     "ComparisonReport",
     "MetricDelta",

@@ -14,11 +14,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.traces.model import OpKind, Trace
 
-__all__ = ["CommGraphStats", "build_comm_graph", "graph_stats"]
+__all__ = ["CommGraph", "CommGraphStats", "build_comm_graph", "graph_stats"]
+
+
+@dataclass(frozen=True, slots=True)
+class CommGraph:
+    """Directed communication graph: ranks and message-count edges.
+
+    ``edges`` iterates sources in node order and, per source,
+    destinations in first-send order.
+    """
+
+    #: Ranks ``0..nprocs-1``, then any other peer in first-seen order.
+    nodes: tuple[int, ...]
+    #: ``(src, dst) -> messages sent``.
+    edges: dict[tuple[int, int], int]
+
+    def in_degrees(self) -> dict[int, int]:
+        """Distinct senders per node, in node order."""
+        degrees = dict.fromkeys(self.nodes, 0)
+        for _, dst in self.edges:
+            degrees[dst] += 1
+        return degrees
+
+    def components(self) -> int:
+        """Weakly-connected components; isolated ranks count as one each."""
+        parent = {node: node for node in self.nodes}
+
+        def root(node: int) -> int:
+            while parent[node] != node:
+                parent[node] = node = parent[parent[node]]
+            return node
+
+        count = len(parent)
+        for src, dst in self.edges:
+            a, b = root(src), root(dst)
+            if a != b:
+                parent[a] = b
+                count -= 1
+        return count
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,35 +83,32 @@ class CommGraphStats:
         return self.symmetry > 0.9 and self.max_in_degree <= 32
 
 
-def build_comm_graph(trace: Trace) -> nx.DiGraph:
+def build_comm_graph(trace: Trace) -> CommGraph:
     """Directed graph: edge (s, d) weighted by messages s -> d."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(trace.nprocs))
+    succ: dict[int, dict[int, int]] = {rank: {} for rank in range(trace.nprocs)}
     for rank_trace in trace.ranks:
         for op in rank_trace.ops:
             if op.kind in (OpKind.ISEND, OpKind.SEND):
-                if graph.has_edge(rank_trace.rank, op.peer):
-                    graph[rank_trace.rank][op.peer]["weight"] += 1
-                else:
-                    graph.add_edge(rank_trace.rank, op.peer, weight=1)
-    return graph
+                out = succ.setdefault(rank_trace.rank, {})
+                succ.setdefault(op.peer, {})
+                out[op.peer] = out.get(op.peer, 0) + 1
+    return CommGraph(
+        nodes=tuple(succ),
+        edges={(src, dst): w for src, out in succ.items() for dst, w in out.items()},
+    )
 
 
 def graph_stats(trace: Trace) -> CommGraphStats:
     """Structural statistics of the trace's communication graph."""
     graph = build_comm_graph(trace)
-    messages = sum(weight for _, _, weight in graph.edges(data="weight"))
-    in_degrees = [degree for _, degree in graph.in_degree()]
-    receivers = [node for node in graph.nodes if graph.in_degree(node) > 0]
-    in_weights = {
-        node: sum(data["weight"] for _, _, data in graph.in_edges(node, data=True))
-        for node in receivers
-    }
-    if graph.number_of_edges():
-        reciprocal = sum(
-            1 for s, d in graph.edges if graph.has_edge(d, s)
-        )
-        symmetry = reciprocal / graph.number_of_edges()
+    messages = sum(graph.edges.values())
+    in_degrees = list(graph.in_degrees().values())
+    in_weights: dict[int, int] = {}
+    for (_, dst), weight in graph.edges.items():
+        in_weights[dst] = in_weights.get(dst, 0) + weight
+    if graph.edges:
+        reciprocal = sum(1 for s, d in graph.edges if (d, s) in graph.edges)
+        symmetry = reciprocal / len(graph.edges)
     else:
         symmetry = 1.0
     if in_weights:
@@ -84,12 +117,12 @@ def graph_stats(trace: Trace) -> CommGraphStats:
     else:
         hotspot = 0.0
     return CommGraphStats(
-        nodes=graph.number_of_nodes(),
-        edges=graph.number_of_edges(),
+        nodes=len(graph.nodes),
+        edges=len(graph.edges),
         messages=messages,
         mean_in_degree=sum(in_degrees) / len(in_degrees) if in_degrees else 0.0,
         max_in_degree=max(in_degrees, default=0),
         symmetry=symmetry,
         hotspot_factor=hotspot,
-        components=nx.number_weakly_connected_components(graph),
+        components=graph.components(),
     )

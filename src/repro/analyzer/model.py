@@ -18,10 +18,10 @@ function (the property the design assumes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["BinsPrediction", "predict", "compare_with_measurement"]
 
@@ -36,6 +36,67 @@ class BinsPrediction:
     expected_empty_fraction: float
     expected_collisions: float
     expected_max_load: float
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: int) -> float:
+    """``log(n!) - log(sqrt(2 pi n) (n/e)^n)`` for ``n >= 1``."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    # Stirling series; the first omitted term is below 2e-16 for n > 15.
+    nn = float(n) * n
+    series = 1 / 1680 - 1 / 1188 / nn
+    series = 1 / 1260 - series / nn
+    series = 1 / 360 - series / nn
+    return (1 / 12 - series / nn) / n
+
+
+def _bd0(x: int, lam: float) -> float:
+    """``x log(x/lam) + lam - x`` without cancellation near ``x = lam``."""
+    if abs(x - lam) < 0.5 * (x + lam):
+        # Series in v = (x-lam)/(x+lam): every term has the same sign.
+        v = (x - lam) / (x + lam)
+        total, term, j = (x - lam) * v, 2.0 * x * v, 1
+        while True:
+            term *= v * v
+            nxt = total + term / (2 * j + 1)
+            if nxt == total:
+                return total
+            total, j = nxt, j + 1
+    return x * math.log(x / lam) + lam - x
+
+
+def _poisson_logpmf(x: int, lam: float) -> float:
+    """``log P(X = x)`` for ``X ~ Poisson(lam)`` (Loader's saddle-point form)."""
+    if x == 0:
+        return -lam
+    return -_stirlerr(x) - _bd0(x, lam) - _HALF_LOG_2PI - 0.5 * math.log(x)
+
+
+def _poisson_sf(k: int, lam: float) -> float:
+    """``P(X > k)`` for ``X ~ Poisson(lam)``, to full relative precision.
+
+    Terms are summed outward from the mode, each tail scaled by its
+    largest pmf so that neither underflows: above the mode the upper
+    tail directly, below it ``1 - cdf``.
+    """
+    if k >= int(lam):
+        # Upper tail, from k+1 up; successive pmf ratios lam/i < 1.
+        i, term, total = k + 1, 1.0, 1.0
+        while term > total * 1e-17:
+            i += 1
+            term *= lam / i
+            total += term
+        return math.exp(_poisson_logpmf(k + 1, lam)) * total
+    # Lower tail, from k down; successive pmf ratios i/lam < 1.
+    i, term, total = k, 1.0, 1.0
+    while i > 0 and term > total * 1e-17:
+        term *= i / lam
+        total += term
+        i -= 1
+    return 1.0 - math.exp(_poisson_logpmf(k, lam)) * total
 
 
 def predict(keys: int, bins: int) -> BinsPrediction:
@@ -58,7 +119,7 @@ def predict(keys: int, bins: int) -> BinsPrediction:
         max_load = float(keys)
     else:
         m = int(np.ceil(load))
-        while bins * stats.poisson.sf(m - 1, load) > 1.0:
+        while bins * _poisson_sf(m - 1, load) > 1.0:
             m += 1
         max_load = float(m)
     return BinsPrediction(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analyzer.commgraph import build_comm_graph
+from repro.analyzer.commgraph import CommGraph, build_comm_graph
 from repro.net.placement import Placement
 from repro.net.routing import RouteTable
 from repro.net.topology import Topology
@@ -51,21 +51,23 @@ class PlacementRecommendation:
         return 1.0 - self.costs[self.scheme] / block
 
 
-def placement_cost(graph, placement: Placement, routes: RouteTable) -> float:
+def placement_cost(graph: CommGraph, placement: Placement, routes: RouteTable) -> float:
     """Routed message volume of ``placement`` (lower is better)."""
     total = 0.0
-    for src, dst, weight in graph.edges(data="weight", default=1):
+    for (src, dst), weight in graph.edges.items():
         total += weight * routes.hops(
             placement.node_of(src), placement.node_of(dst)
         )
     return total
 
 
-def _greedy(graph, hosts: list[str], routes: RouteTable, ranks: int) -> Placement:
+def _greedy(
+    graph: CommGraph, hosts: list[str], routes: RouteTable, ranks: int
+) -> Placement:
     """Attachment-greedy layout over the (undirected) commgraph."""
     weight: dict[tuple[int, int], float] = {}
     totals = [0.0] * ranks
-    for src, dst, w in graph.edges(data="weight", default=1):
+    for (src, dst), w in graph.edges.items():
         if src == dst or not (0 <= src < ranks and 0 <= dst < ranks):
             continue
         key = (min(src, dst), max(src, dst))

@@ -99,6 +99,7 @@ DEFAULT_RULES: tuple[GateRule, ...] = (
     GateRule("speedup", "ignore"),
     GateRule("cpu_count", "ignore"),
     GateRule("jobs", "ignore"),
+    GateRule("jobs_*", "ignore"),
     GateRule("*_seconds", "ignore"),
     GateRule("*cycles_per_message", "lower", 0.05),
     GateRule("*ticks_per_message", "lower", 0.05),

@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--clear", action="store_true", help="delete every entry")
 
     bench = sub.add_parser("bench", help="serial-vs-parallel speedup + warm-cache check")
-    bench.add_argument("--jobs", type=int, default=4)
+    bench.add_argument(
+        "--jobs", type=int, default=4, help="parallel workers (capped at the core count)"
+    )
     bench.add_argument("--apps", type=_parse_apps, default=None)
     bench.add_argument("--bins", type=_parse_bins, default=(1, 32, 128))
     bench.add_argument("--rounds", type=int, default=8)
@@ -159,6 +161,7 @@ def _cmd_cache(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.analyzer.sweep import sweep_applications
+    from repro.fleet.pool import resolve_workers
     from repro.traces.synthetic import app_names
 
     names = args.apps if args.apps is not None else app_names()
@@ -173,6 +176,7 @@ def _cmd_bench(args) -> int:
             for bins in sorted(results[name])
         )
 
+    jobs = resolve_workers(args.jobs)
     t0 = time.perf_counter()
     serial_results, serial_report = sweep_applications(jobs=1, **grid)
     serial_s = time.perf_counter() - t0
@@ -180,13 +184,13 @@ def _cmd_bench(args) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as cache_dir:
         t0 = time.perf_counter()
         parallel_results, parallel_report = sweep_applications(
-            jobs=args.jobs, cache_dir=cache_dir, **grid
+            jobs=jobs, cache_dir=cache_dir, **grid
         )
         parallel_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         _warm_results, warm_report = sweep_applications(
-            jobs=args.jobs, cache_dir=cache_dir, **grid
+            jobs=jobs, cache_dir=cache_dir, **grid
         )
         warm_s = time.perf_counter() - t0
 
@@ -200,7 +204,8 @@ def _cmd_bench(args) -> int:
             "rounds": args.rounds,
             "cells": serial_report.total,
         },
-        "jobs": args.jobs,
+        "jobs_requested": args.jobs,
+        "jobs_effective": jobs,
         "cpu_count": os.cpu_count(),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
@@ -213,7 +218,7 @@ def _cmd_bench(args) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
         f"fleet bench: {serial_report.total} cells, serial {serial_s:.2f}s, "
-        f"parallel({args.jobs}) {parallel_s:.2f}s ({speedup:.2f}x), "
+        f"parallel({jobs}) {parallel_s:.2f}s ({speedup:.2f}x), "
         f"warm {warm_s:.2f}s ({warm_report.cached} cached / "
         f"{warm_report.executed} executed)"
     )

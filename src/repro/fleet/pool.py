@@ -23,14 +23,16 @@ R = TypeVar("R")
 def resolve_workers(requested: int | None = None, *, items: int | None = None) -> int:
     """Effective worker count for a pool.
 
-    ``requested=None`` means "use the machine": ``os.cpu_count()``.
-    Inside a fleet worker the answer is always 1 — the outer scheduler
-    owns the hardware, a nested pool would only add oversubscription
-    and spawn latency.
+    ``requested=None`` means "use the machine": ``os.cpu_count()``,
+    which also caps any explicit request — a worker beyond the core
+    count only adds spawn and import time. Inside a fleet worker the answer
+    is always 1 — the outer scheduler owns the hardware, a nested pool
+    would only add oversubscription and spawn latency.
     """
     if in_worker():
         return 1
-    workers = requested if requested and requested > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(requested, cpus) if requested and requested > 0 else cpus
     if items is not None:
         workers = min(workers, max(items, 1))
     return max(workers, 1)

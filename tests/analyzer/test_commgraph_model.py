@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyzer.commgraph import build_comm_graph, graph_stats
+from repro.analyzer.commgraph import CommGraph, build_comm_graph, graph_stats
 from repro.analyzer.model import compare_with_measurement, predict
 from repro.traces.synthetic import generate
 
@@ -40,7 +40,7 @@ class TestCommGraph:
     def test_edge_weights_count_messages(self):
         trace = generate("MOCFE", processes=8, rounds=2)
         graph = build_comm_graph(trace)
-        total = sum(w for _, _, w in graph.edges(data="weight"))
+        total = sum(graph.edges.values())
         from repro.traces.model import OpKind
 
         sends = sum(
@@ -50,6 +50,11 @@ class TestCommGraph:
             if op.kind in (OpKind.ISEND, OpKind.SEND)
         )
         assert total == sends
+
+    def test_isolated_ranks_are_components(self):
+        graph = CommGraph(nodes=(0, 1, 2, 3), edges={(0, 1): 2, (1, 0): 1})
+        assert graph.components() == 3
+        assert graph.in_degrees() == {0: 1, 1: 1, 2: 0, 3: 0}
 
     def test_in_degree_tracks_queue_depth_driver(self):
         """Apps with higher in-degree have deeper 1-bin queues: the

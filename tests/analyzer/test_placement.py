@@ -52,6 +52,6 @@ class TestRecommendation:
         cost = placement_cost(graph, Placement.block(8, topo.hosts), routes)
         manual = sum(
             w * routes.hops(f"h{s}", f"h{d}")
-            for s, d, w in graph.edges(data="weight", default=1)
+            for (s, d), w in graph.edges.items()
         )
         assert cost == manual > 0
